@@ -93,9 +93,8 @@ func runForkTrial(m *forkMutation, initrd []byte) TrialReport {
 		}
 		serve() // the fork attempt against the (possibly) dirtied parent
 		if m.kind == "bitflip" {
-			// The blob is a process-interned artifact shared with every
-			// other trial that captures the same donor content: undo the
-			// XOR so the tamper cannot leak across trials.
+			// Undo the XOR so the tamper cannot outlive the trial
+			// through anything still aliasing the blob.
 			blob.Corrupt(off, m.mask)
 		}
 		serve() // recovery: the evicted pool must re-seed cold, honestly

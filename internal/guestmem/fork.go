@@ -1,15 +1,19 @@
 package guestmem
 
 // Snapshot-fork support: a ForkSource is one guest's resident plain
-// text, frozen into a single interned artifact so any number of later
-// guests can alias it copy-on-write. Where snapshot.Restore replays
-// ciphertext page by page (O(image) AES work per warm boot), AdoptFork
-// is O(resident pages) of pointer aliasing plus one O(1) root-digest
-// check — the forked guest shares the donor's key and ASID (installed
-// by psp.LaunchStartFork), so the host-visible ciphertext of every
-// aliased private page is bit-identical to what a copy restore would
-// have produced, and a write to any page breaks its alias in mutable()
-// before the bytes can diverge.
+// text, frozen into a single artifact blob plus a read-only chunk table
+// whose page records alias that blob copy-on-write. Where
+// snapshot.Restore replays ciphertext page by page (O(image) AES work
+// per warm boot), AdoptFork copies one chunk pointer per 2 MiB of guest
+// memory, splices the source's private page runs into the RMP, and
+// re-checks the O(1) root digest — O(chunks + private runs), however
+// many pages are resident. The forked guest shares the donor's key and
+// ASID (installed by psp.LaunchStartFork), so the host-visible
+// ciphertext of every aliased private page is bit-identical to what a
+// copy restore would have produced. A write to a shared chunk first
+// clones it (writable: one chunk copy), then breaks the page alias in
+// mutable() before the bytes can diverge, so no write reaches the
+// source, its blob, or a sibling fork.
 //
 // Soundness: the root digest is taken over the full plain-text blob at
 // capture time. AdoptFork re-checks it before aliasing a single page;
@@ -44,30 +48,63 @@ type ForkSource struct {
 	pages []ForkPage
 	blob  *artifact.Buf
 	root  [32]byte
+
+	// chunks is the frozen page table every adopter shares: one entry
+	// per chunk of the donor, nil where the donor had no resident page,
+	// each resident record aliasing blob with provenance.
+	chunks []*pageChunk
+	// private lists the maximal runs of private pages, spliced into an
+	// adopter's RMP as assigned+validated ranges.
+	private []pageRun
 }
 
+// pageRun is the half-open page-number range [lo, hi).
+type pageRun struct{ lo, hi uint64 }
+
 // ExportForkSource freezes the guest's resident pages — plain text, in
-// page-number order — into one interned blob and records its digest as
-// the fork root. The donor must not be mutated afterwards (fleet keeps
-// donors parked for exactly this reason).
+// page-number order — into one blob, records its digest as the fork
+// root, and builds the frozen chunk table forks adopt. The donor's own
+// page table is left untouched, and it must not be mutated afterwards
+// (fleet keeps donors parked for exactly this reason).
+//
+// The blob is wrapped with artifact.Of, not interned: its handle
+// travels explicitly (ForkSource.blob, page provenance), so it is freed
+// with the last ForkSource and fork guest that reference it.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
-	var pns []uint64
-	for pn, p := range m.pages { // dense, so pns comes out sorted
-		if p != nil && (p.data != nil || p.encrypted) {
-			pns = append(pns, uint64(pn))
-		}
+	var pages []ForkPage
+	m.eachResident(func(pn uint64, p *page) {
+		pages = append(pages, ForkPage{PN: pn, Off: len(pages) * PageSize, Private: p.encrypted})
+	})
+	blob := make([]byte, len(pages)*PageSize)
+	for _, fp := range pages {
+		copy(blob[fp.Off:], m.lookup(fp.PN).readable())
 	}
-	blob := make([]byte, len(pns)*PageSize)
-	pages := make([]ForkPage, len(pns))
-	for i, pn := range pns {
-		p := m.pages[pn]
-		copy(blob[i*PageSize:], p.readable())
-		pages[i] = ForkPage{PN: pn, Off: i * PageSize, Private: p.encrypted}
-	}
-	buf := artifact.Intern(blob)
-	src := &ForkSource{size: m.size, pages: pages, blob: buf}
+	buf := artifact.Of(blob)
+	src := &ForkSource{size: m.size, pages: pages, blob: buf, chunks: make([]*pageChunk, len(m.chunks))}
 	if buf != nil {
 		src.root = buf.Digest()
+	}
+	for _, fp := range pages {
+		c := src.chunks[fp.PN>>chunkShift]
+		if c == nil {
+			c = &pageChunk{frozen: true}
+			src.chunks[fp.PN>>chunkShift] = c
+		}
+		c.pages[fp.PN&(chunkPages-1)] = page{
+			data:      blob[fp.Off : fp.Off+PageSize : fp.Off+PageSize],
+			cow:       true,
+			encrypted: fp.Private,
+			art:       buf,
+			artOff:    fp.Off,
+		}
+		if !fp.Private {
+			continue
+		}
+		if n := len(src.private); n > 0 && src.private[n-1].hi == fp.PN {
+			src.private[n-1].hi++
+		} else {
+			src.private = append(src.private, pageRun{fp.PN, fp.PN + 1})
+		}
 	}
 	m.recorder().CounterAdd("guestmem.fork.exported", 1)
 	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
@@ -107,6 +144,11 @@ func (s *ForkSource) Verify() error {
 // their state (assigned+validated under SNP). The caller must have
 // installed the donor's key and ASID first (psp.LaunchStartFork does);
 // the root digest is verified before any page is touched.
+//
+// A chunk this guest never wrote adopts the source's frozen chunk by
+// pointer. A chunk that already holds pages takes the per-page merge:
+// the source's resident records overwrite the guest's, and the guest's
+// other pages stay.
 func (m *Memory) AdoptFork(src *ForkSource) error {
 	if src.size != m.size {
 		return fmt.Errorf("guestmem: fork source is %d bytes, guest is %d: %w", src.size, m.size, ErrSize)
@@ -114,41 +156,28 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 	if err := src.Verify(); err != nil {
 		return err
 	}
-	anyPrivate := false
-	for _, fp := range src.pages {
-		if fp.Private {
-			anyPrivate = true
-			break
-		}
-	}
-	if anyPrivate && m.key == nil {
+	if len(src.private) > 0 && m.key == nil {
 		return ErrNoKey
 	}
-	blob := src.blob.Bytes()
-	// Private pages land assigned+validated; contiguous runs batch into
-	// one RMP splice each instead of a per-page table write.
-	runLo, runHi := uint64(0), uint64(0) // [runLo, runHi) pending private pns
-	flush := func() {
-		if m.rmp != nil && runHi > runLo {
-			m.rmp.AssignValidatedRange(runLo*PageSize, int(runHi-runLo)*PageSize, m.asid)
-		}
-	}
-	for _, fp := range src.pages {
-		p := m.getPage(fp.PN)
-		p.data = blob[fp.Off : fp.Off+PageSize : fp.Off+PageSize]
-		p.cow = true
-		p.art, p.artOff = src.blob, fp.Off
-		p.encrypted = fp.Private
-		if fp.Private {
-			if fp.PN == runHi && runHi > runLo {
-				runHi++
-			} else {
-				flush()
-				runLo, runHi = fp.PN, fp.PN+1
+	for ci, sc := range src.chunks {
+		switch {
+		case sc == nil:
+		case m.chunks[ci] == nil:
+			m.chunks[ci] = sc
+		default:
+			dc := m.writable(uint64(ci))
+			for i := range sc.pages {
+				if sc.pages[i].data != nil {
+					dc.pages[i] = sc.pages[i]
+				}
 			}
 		}
 	}
-	flush()
+	if m.rmp != nil {
+		for _, r := range src.private {
+			m.rmp.AssignValidatedRange(r.lo*PageSize, int(r.hi-r.lo)*PageSize, m.asid)
+		}
+	}
 	m.recorder().CounterAdd("guestmem.fork.adopted", 1)
 	m.recorder().CounterAdd("guestmem.fork.aliased_pages", int64(len(src.pages)))
 	return nil

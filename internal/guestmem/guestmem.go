@@ -16,6 +16,14 @@
 // observable behaviour while letting identical kernel pages be shared
 // copy-on-write across the 50-VM concurrency experiment.
 //
+// The page table is a sparse chunk directory: one pointer per 2 MiB of
+// guest memory, each chunk holding its 512 page records by value and
+// allocated on the chunk's first write; a nil chunk reads as zero pages.
+// Chunks frozen by ExportForkSource are shared read-only by every fork
+// of that source, and the first write to a shared chunk clones it (see
+// fork.go), so fork adoption copies chunk pointers instead of building
+// one record per resident page.
+//
 // When an RMP table is attached (SEV-SNP), host writes to assigned pages
 // are blocked and guest private accesses to unvalidated pages raise #VC,
 // both surfaced as errors from the access functions.
@@ -61,15 +69,29 @@ type page struct {
 	artOff int
 }
 
+// chunkShift is log2 of the pages per chunk: 512 pages cover 2 MiB.
+const chunkShift = 9
+
+// chunkPages is the number of page records in one chunk.
+const chunkPages = 1 << chunkShift
+
+// pageChunk holds the page records of one 2 MiB stretch of guest memory.
+// A zero record reads as an untouched zero page. A frozen chunk belongs
+// to a ForkSource and is shared by every guest that adopted it: it is
+// never written, and writable() clones it before the first mutation.
+type pageChunk struct {
+	pages  [chunkPages]page
+	frozen bool
+}
+
 // Memory is one guest's physical address space.
 type Memory struct {
 	size uint64
-	// pages is dense, indexed by page frame number (nil = untouched).
-	// check() bounds every gpa below size, so in-range indexing is safe;
-	// a dense slice keeps the per-page lookup off the map hash path,
-	// which dominates host CPU when booting fleets.
-	pages []*page
-	slab  []page // page structs are carved from slabs, not allocated singly
+	// chunks is the page table, indexed by page frame number >> chunkShift
+	// (nil = untouched). check() bounds every gpa below size, so in-range
+	// indexing is safe; two slice loads keep the per-page lookup as cheap
+	// as a dense page slice while New costs one pointer per 2 MiB.
+	chunks []*pageChunk
 
 	key   []byte       // 16-byte AES key; set by LAUNCH_START via SetKey
 	block cipher.Block // AES block cached at SetKey; one per guest, not per page
@@ -87,7 +109,8 @@ type Memory struct {
 // New returns a zeroed address space of the given size (page aligned up).
 func New(size uint64) *Memory {
 	size = (size + PageSize - 1) &^ (PageSize - 1)
-	return &Memory{size: size, pages: make([]*page, size/PageSize)}
+	nchunks := (size/PageSize + chunkPages - 1) >> chunkShift
+	return &Memory{size: size, chunks: make([]*pageChunk, nchunks)}
 }
 
 // Size returns the guest memory size in bytes.
@@ -170,22 +193,43 @@ func rmpSpan(gpa uint64, n int) (uint64, int) {
 	return base, int(gpa + uint64(n) - base)
 }
 
-// pageSlabSize is how many page structs one slab allocation yields. A
-// boot touches tens of thousands of pages; carving their structs from
-// slabs turns the dominant per-page allocation into one per 512 pages.
-const pageSlabSize = 512
-
-func (m *Memory) getPage(pn uint64) *page {
-	p := m.pages[pn]
-	if p == nil {
-		if len(m.slab) == 0 {
-			m.slab = make([]page, pageSlabSize)
-		}
-		p = &m.slab[0]
-		m.slab = m.slab[1:]
-		m.pages[pn] = p
+// lookup returns the page record for pn read-only, or nil when its
+// chunk was never written. The record may live in a frozen chunk shared
+// with other guests: callers must not mutate it (use getPage).
+func (m *Memory) lookup(pn uint64) *page {
+	c := m.chunks[pn>>chunkShift]
+	if c == nil {
+		return nil
 	}
-	return p
+	return &c.pages[pn&(chunkPages-1)]
+}
+
+// getPage returns the page record for pn ready for mutation, allocating
+// its chunk on first write and cloning a frozen (fork-shared) chunk
+// into a private copy.
+func (m *Memory) getPage(pn uint64) *page {
+	c := m.chunks[pn>>chunkShift]
+	if c == nil || c.frozen {
+		c = m.writable(pn >> chunkShift)
+	}
+	return &c.pages[pn&(chunkPages-1)]
+}
+
+// writable makes chunk ci private to this guest: a fresh zero chunk when
+// untouched, a copy when shared. Every page record copied out of a
+// frozen chunk still aliases the fork blob with cow set, so mutable()
+// copies the bytes before the first write as it does for any alias.
+func (m *Memory) writable(ci uint64) *pageChunk {
+	c := m.chunks[ci]
+	if c == nil {
+		c = new(pageChunk)
+	} else if c.frozen {
+		cp := *c
+		cp.frozen = false
+		c = &cp
+	}
+	m.chunks[ci] = c
+	return c
 }
 
 // mutable returns the page's byte slice ready for writing, materializing
@@ -268,7 +312,7 @@ func (m *Memory) HostRead(gpa uint64, n int) ([]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		if p != nil && p.encrypted {
 			ct, err := m.cipherPage(pn, p.readable())
 			if err != nil {
@@ -329,7 +373,7 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		src := p.readable()
 		encrypted := p != nil && p.encrypted
 		if encrypted != cbit {
@@ -385,7 +429,7 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 		fullPages := uint64(n) / PageSize
 		aliasable := true
 		for i := uint64(0); i < fullPages; i++ {
-			sp := m.pages[src/PageSize+i]
+			sp := m.lookup(src/PageSize + i)
 			if (sp != nil && sp.encrypted) != srcCbit {
 				aliasable = false
 				break
@@ -393,14 +437,20 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 		}
 		if aliasable {
 			for i := uint64(0); i < fullPages; i++ {
-				sp := m.pages[src/PageSize+i]
+				// Take the writable destination first: if it clones the
+				// chunk the source page shares, the lookup below already
+				// sees the clone.
 				dp := m.getPage(dst/PageSize + i)
+				sp := m.lookup(src/PageSize + i)
 				if sp == nil || sp.data == nil {
 					dp.data = nil
 					dp.cow = false
 					dp.art, dp.artOff = nil, 0
 				} else {
-					sp.cow = true
+					if !sp.cow {
+						sp = m.getPage(src/PageSize + i)
+						sp.cow = true
+					}
 					dp.data = sp.data
 					dp.cow = true
 					dp.art, dp.artOff = sp.art, sp.artOff
@@ -564,23 +614,19 @@ type Stats struct {
 	PrivatePages  int // pages in the encrypted state
 }
 
-// Stats returns current backing-store statistics.
+// Stats returns current backing-store statistics. Aliased pages are
+// always resident: cow is only ever set on a page with backing bytes.
 func (m *Memory) Stats() Stats {
 	var s Stats
-	for _, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		if p.data != nil || p.encrypted {
-			s.ResidentPages++
-		}
+	m.eachResident(func(_ uint64, p *page) {
+		s.ResidentPages++
 		if p.cow {
 			s.AliasedPages++
 		}
 		if p.encrypted {
 			s.PrivatePages++
 		}
-	}
+	})
 	return s
 }
 
@@ -649,19 +695,19 @@ func (m *Memory) GuestWriteArtifact(gpa uint64, art *artifact.Buf, off, n int, c
 
 // Resident reports whether the page containing gpa has any backing.
 func (m *Memory) Resident(gpa uint64) bool {
-	if gpa/PageSize >= uint64(len(m.pages)) {
+	if gpa >= m.size {
 		return false
 	}
-	p := m.pages[gpa/PageSize]
+	p := m.lookup(gpa / PageSize)
 	return p != nil && (p.data != nil || p.encrypted)
 }
 
 // IsPrivate reports whether the page containing gpa is encrypted.
 func (m *Memory) IsPrivate(gpa uint64) bool {
-	if gpa/PageSize >= uint64(len(m.pages)) {
+	if gpa >= m.size {
 		return false
 	}
-	p := m.pages[gpa/PageSize]
+	p := m.lookup(gpa / PageSize)
 	return p != nil && p.encrypted
 }
 
@@ -751,7 +797,7 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	var art *artifact.Buf
 	base := 0
 	for pn := first; pn <= last; pn++ {
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		if p == nil || p.art == nil {
 			continue
 		}
@@ -777,7 +823,7 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		if p == nil || p.art == nil {
 			if !bytesEqual(p.readable()[off:off+chunk], src[done:done+chunk]) {
 				return nil, 0
@@ -823,7 +869,7 @@ func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		h.Write(m.pages[pn].readable()[off : off+chunk])
+		h.Write(m.lookup(pn).readable()[off : off+chunk])
 		done += chunk
 	}
 	h.Sum(sum[:0])
@@ -849,7 +895,7 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 	}
 	allMatch := true
 	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		p := m.pages[off/PageSize]
+		p := m.lookup(off / PageSize)
 		if (p != nil && p.encrypted) != cbit {
 			allMatch = false
 			break
@@ -869,7 +915,7 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		src := p.readable()
 		if (p != nil && p.encrypted) != cbit {
 			if err := m.cipherPageInto(*scratch, pn, src); err != nil {
@@ -917,7 +963,7 @@ func (m *Memory) ArtifactRange(gpa uint64, n int, cbit bool) (*artifact.Buf, int
 		}
 	}
 	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		p := m.pages[off/PageSize]
+		p := m.lookup(off / PageSize)
 		if (p != nil && p.encrypted) != cbit {
 			return nil, 0, nil
 		}
@@ -967,19 +1013,17 @@ type PageExport struct {
 func (m *Memory) ExportPages() ([]PageExport, error) {
 	var pns []uint64
 	anyPrivate := false
-	for pn, p := range m.pages { // dense, so pns comes out sorted
-		if p != nil && (p.data != nil || p.encrypted) {
-			pns = append(pns, uint64(pn))
-			anyPrivate = anyPrivate || p.encrypted
-		}
-	}
+	m.eachResident(func(pn uint64, p *page) {
+		pns = append(pns, pn)
+		anyPrivate = anyPrivate || p.encrypted
+	})
 	if anyPrivate && m.key == nil {
 		return nil, ErrNoKey
 	}
 	out := make([]PageExport, len(pns))
 	hostwork.Do(len(pns), func(i int) {
 		pn := pns[i]
-		p := m.pages[pn]
+		p := m.lookup(pn)
 		data := make([]byte, PageSize)
 		if p.encrypted {
 			m.cipherPageInto(data, pn, p.readable())
@@ -989,4 +1033,19 @@ func (m *Memory) ExportPages() ([]PageExport, error) {
 		out[i] = PageExport{PN: pn, Data: data, Private: p.encrypted}
 	})
 	return out, nil
+}
+
+// eachResident calls fn for every resident page in page-number order.
+// fn must not mutate the record: it may live in a fork-shared chunk.
+func (m *Memory) eachResident(fn func(pn uint64, p *page)) {
+	for ci, c := range m.chunks {
+		if c == nil {
+			continue
+		}
+		for i := range c.pages {
+			if p := &c.pages[i]; p.data != nil || p.encrypted {
+				fn(uint64(ci)<<chunkShift|uint64(i), p)
+			}
+		}
+	}
 }
